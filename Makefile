@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint lint-json test race bench bench-gate bench-smoke bench-tracestore serve-smoke clean
+.PHONY: check build vet lint lint-json test race bench bench-gate bench-smoke bench-check bench-tracestore serve-smoke clean
 
 # check is the CI gate: static analysis (go vet + the custom vplint
 # suite), a full build, and the test suite under the race detector (the
@@ -69,6 +69,13 @@ bench-gate:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkPipeline$$|BenchmarkTraceStore$$|BenchmarkIdealMachine$$' \
 		-benchtime=1x . | $(GO) run ./cmd/benchjson -o /dev/null
+
+# bench-check vets and tests the benchmark module (vpbench/, a module of
+# its own, so the root ./... never sees it). It compiles against
+# internal/jobs and internal/serve, so an API change there fails here
+# instead of silently breaking the benchmark.
+bench-check:
+	cd vpbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # serve-smoke boots cmd/vpserve on a free port, curls the health check and
 # one small figure, diffs the served table against the vpsim rendering of

@@ -6,7 +6,7 @@
 //
 //	vpserve [-addr 127.0.0.1:8080] [-max-concurrent 4] [-workers 0]
 //	        [-timeout 2m] [-cache 64] [-cache-dir DIR] [-disk-cache-entries 512]
-//	        [-job-retention 256] [-job-queue 64] [-shard n/m]
+//	        [-job-queue 64] [-shard n/m]
 //	        [-max-tracelen 2000000] [-max-seeds 16] [-drain-timeout 30s]
 //	        [-events log.jsonl] [-pprof]
 //
@@ -34,11 +34,13 @@
 //
 // Every distinct run is one job keyed by its canonical parameters:
 // identical concurrent requests coalesce onto it, and a job submitted via
-// POST /v1/jobs keeps running if its client disconnects — the result
-// stays fetchable by id until -job-retention evicts it. Completed tables
-// are cached in a bounded LRU and, with -cache-dir, in a persistent
-// on-disk store that survives restarts and can be shared between replicas
-// pointing at the same directory. Synchronous saturation is shed with 429
+// POST /v1/jobs keeps running if its client disconnects. Results are kept
+// by job id in one store: a bounded memory tier (-cache) over, with
+// -cache-dir, a persistent disk tier that survives restarts and can be
+// shared between replicas pointing at the same directory. Every request —
+// synchronous or by job id — is answered from that store first, so a
+// result evicted from memory comes back from disk, not from a fresh
+// simulation. Synchronous saturation is shed with 429
 // + Retry-After (async submissions queue up to -job-queue deep), and slow
 // runs end in 504 at -timeout.
 //
@@ -108,10 +110,9 @@ func run(args []string, stdout, stderr io.Writer, signals <-chan os.Signal, onRe
 		addr          = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		maxConcurrent = fs.Int("max-concurrent", serve.DefaultMaxConcurrent, "max simultaneous simulations; beyond it requests get 429 + Retry-After")
 		timeout       = fs.Duration("timeout", serve.DefaultTimeout, "per-simulation timeout; an expired run returns 504")
-		cacheEntries  = fs.Int("cache", serve.DefaultCacheEntries, "completed-table LRU capacity (entries)")
+		cacheEntries  = fs.Int("cache", serve.DefaultCacheEntries, "in-memory result store capacity (entries, least-recently-used evicted)")
 		cacheDir      = fs.String("cache-dir", "", "persistent table cache directory (empty = disabled); survives restarts, shareable between replicas")
 		diskEntries   = fs.Int("disk-cache-entries", serve.DefaultDiskCacheEntries, "on-disk cache capacity (entries), evicted oldest-first")
-		jobRetention  = fs.Int("job-retention", 0, "settled jobs kept for result fetches (0 = the library default)")
 		jobQueue      = fs.Int("job-queue", 0, "async jobs waiting for a slot before POST /v1/jobs sheds with 429 (0 = the library default)")
 		shardSpec     = fs.String("shard", "", "serve shard n/m of the workload axis (empty = unsharded); format=shard returns the mergeable artifact")
 		maxTraceLen   = fs.Int("max-tracelen", serve.DefaultMaxTraceLen, "largest per-request tracelen accepted")
@@ -141,9 +142,6 @@ func run(args []string, stdout, stderr io.Writer, signals <-chan os.Signal, onRe
 	}
 	if *diskEntries < 0 {
 		return usagef(fs, "-disk-cache-entries must be >= 0 (0 = the %d default), have %d", serve.DefaultDiskCacheEntries, *diskEntries)
-	}
-	if *jobRetention < 0 {
-		return usagef(fs, "-job-retention must be >= 0 (0 = the library default), have %d", *jobRetention)
 	}
 	if *jobQueue < 0 {
 		return usagef(fs, "-job-queue must be >= 0 (0 = the library default), have %d", *jobQueue)
@@ -179,7 +177,6 @@ func run(args []string, stdout, stderr io.Writer, signals <-chan os.Signal, onRe
 		MaxSeeds:         *maxSeeds,
 		CacheDir:         *cacheDir,
 		DiskCacheEntries: *diskEntries,
-		JobRetention:     *jobRetention,
 		JobQueue:         *jobQueue,
 		Shard:            shard,
 		EventLog:         events,

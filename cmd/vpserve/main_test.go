@@ -133,7 +133,6 @@ func TestJobAndShardFlagValidation(t *testing.T) {
 		{"-shard", "banana"},
 		{"-shard", "0/2"},
 		{"-shard", "3/2"},
-		{"-job-retention", "-1"},
 		{"-job-queue", "-5"},
 		{"-disk-cache-entries", "-1"},
 		{"-cache-dir", filepath.Join(blocker, "sub")},

@@ -1,16 +1,20 @@
-// Package jobs is the deterministic job store behind the serve layer's
-// asynchronous API: one Job per canonical request key, with an id derived
-// from the key (so resubmitting the same request is idempotent), a
-// queued → running → done/failed lifecycle, a bounded FIFO of jobs waiting
-// for an execution slot, and bounded retention of settled jobs so a
-// long-lived server cannot accumulate results without limit.
+// Package jobs is the deterministic lifecycle index behind the serve
+// layer: one Job per canonical request key, with an id derived from the
+// key (so resubmitting the same request is idempotent), a
+// queued → running → done/failed lifecycle, and a bounded FIFO of jobs
+// waiting for an execution slot.
 //
-// The store owns lifecycle and bookkeeping only. Execution policy — the
-// semaphore, the simulation context, caching of results — stays with the
-// caller (internal/serve): the store never runs anything and never blocks.
-// Waiting for a result is the caller's select on Job.Done versus its own
-// request context, which is what lets a job outlive the client that
-// submitted it.
+// The index tracks lifecycle only, not results. A job that settles done
+// leaves it at once: keeping results is the caller's job (internal/serve
+// stores them, keyed by the same id, before it settles the job). A failed
+// job stays, up to a bound, so pollers can read its error; creating the
+// key again after Drop retries it. A job that never gets to run leaves
+// through Reject, which settles it first, so no waiter is stranded.
+//
+// Execution policy — the semaphore, the simulation context — stays with
+// the caller too: the store never runs anything and never blocks. Waiting
+// for a result is the caller's select on Job.Done versus its own request
+// context, which is what lets a job outlive the client that submitted it.
 package jobs
 
 import (
@@ -23,9 +27,10 @@ import (
 
 // Defaults for NewStore arguments <= 0.
 const (
-	// DefaultRetention bounds how many settled (done or failed) jobs the
-	// store keeps for later result fetches; beyond it the oldest-settled
-	// are evicted. Queued and running jobs are never evicted.
+	// DefaultRetention bounds how many failed jobs the store keeps so
+	// pollers can read their errors; beyond it the oldest-failed are
+	// evicted. Queued and running jobs are never evicted, and done jobs
+	// leave at settle.
 	DefaultRetention = 256
 	// DefaultQueueLimit bounds the jobs waiting for an execution slot;
 	// beyond it submissions are refused (the caller sheds load).
@@ -144,12 +149,12 @@ type Store struct {
 	byID       map[string]*Job
 	order      []*Job // creation order, for List
 	queue      []*Job // FIFO awaiting an execution slot
-	settledLog []*Job // settle order, for retention eviction
+	failed     []*Job // settle order of retained failed jobs, for eviction
 	retention  int
 	queueLimit int
 }
 
-// NewStore returns a Store retaining at most retention settled jobs and
+// NewStore returns a Store retaining at most retention failed jobs and
 // queueing at most queueLimit waiting jobs (<= 0 selects the defaults).
 func NewStore(retention, queueLimit int) *Store {
 	if retention <= 0 {
@@ -239,11 +244,39 @@ func (st *Store) QueueLen() int {
 	return len(st.queue)
 }
 
-// Settle publishes the job's result (done on nil err, failed otherwise),
-// closes its Done channel, and applies retention: settled jobs beyond the
-// store's limit are evicted oldest-first. It returns how many jobs were
-// evicted so the caller can count them.
+// Settle publishes the job's result (done on nil err, failed otherwise)
+// and closes its Done channel. A done job then leaves the store; a failed
+// one is retained, and failed jobs beyond the store's limit are evicted
+// oldest-first. It returns how many jobs were evicted so the caller can
+// count them.
 func (st *Store) Settle(j *Job, result any, err error) (evicted int) {
+	j.settle(result, err)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if err == nil {
+		st.removeLocked(j)
+		return 0
+	}
+	st.failed = append(st.failed, j)
+	for len(st.failed) > st.retention {
+		st.removeLocked(st.failed[0])
+		st.failed = st.failed[1:]
+		evicted++
+	}
+	return evicted
+}
+
+// Reject settles a job that lost admission — failed, with err — and
+// removes it from the store. A request that found the job between Create
+// and Reject wakes with err instead of waiting on a job that will never
+// run; the key is free for the next Create.
+func (st *Store) Reject(j *Job, err error) {
+	j.settle(nil, err)
+	st.Drop(j)
+}
+
+// settle records the outcome and wakes every waiter.
+func (j *Job) settle(result any, err error) {
 	j.mu.Lock()
 	j.result, j.err = result, err
 	if err != nil {
@@ -254,23 +287,12 @@ func (st *Store) Settle(j *Job, result any, err error) (evicted int) {
 	j.settled = time.Now()
 	j.mu.Unlock()
 	close(j.done)
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.settledLog = append(st.settledLog, j)
-	for len(st.settledLog) > st.retention {
-		old := st.settledLog[0]
-		st.settledLog = st.settledLog[1:]
-		st.removeLocked(old)
-		evicted++
-	}
-	return evicted
 }
 
 // Drop removes the job from the store entirely: the id map, the creation
-// order, the waiting queue and the settled log. Used when an admission
-// fails after Create, and to clear a failed job so the same key can be
-// retried with a fresh run.
+// order, the waiting queue and the failed log. The serve layer drops a
+// failed job so the same key can be retried with a fresh run; a job that
+// has not settled must leave through Reject instead.
 func (st *Store) Drop(j *Job) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -280,9 +302,9 @@ func (st *Store) Drop(j *Job) {
 			break
 		}
 	}
-	for i, s := range st.settledLog {
-		if s == j {
-			st.settledLog = append(st.settledLog[:i], st.settledLog[i+1:]...)
+	for i, f := range st.failed {
+		if f == j {
+			st.failed = append(st.failed[:i], st.failed[i+1:]...)
 			break
 		}
 	}
@@ -304,7 +326,8 @@ func (st *Store) removeLocked(j *Job) {
 	}
 }
 
-// List snapshots every live job in creation order.
+// List snapshots every job the store tracks — queued, running and
+// retained failed — in creation order.
 func (st *Store) List() []Status {
 	st.mu.Lock()
 	jobs := append([]*Job(nil), st.order...)

@@ -77,36 +77,85 @@ func TestLifecycleAndResult(t *testing.T) {
 	}
 }
 
+// TestRetentionEvictsOldestSettled pins what the store keeps once a job
+// settles: a done job leaves at once (its result is the caller's to
+// keep), while failed jobs stay for pollers up to the retention bound,
+// oldest-failed evicted first.
 func TestRetentionEvictsOldestSettled(t *testing.T) {
 	st := NewStore(2, 0)
 	var jobs []*Job
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		j, _ := st.Create(fmt.Sprintf("k%d", i), "fig3.3", nil)
 		jobs = append(jobs, j)
 	}
 	if n := st.Settle(jobs[0], 0, nil); n != 0 {
-		t.Errorf("evicted %d on first settle, want 0", n)
-	}
-	st.Settle(jobs[1], 1, nil)
-	if n := st.Settle(jobs[2], 2, nil); n != 1 {
-		t.Errorf("evicted %d on third settle, want 1", n)
+		t.Errorf("evicted %d on a done settle, want 0", n)
 	}
 	if _, ok := st.Get(jobs[0].ID()); ok {
-		t.Error("oldest settled job survived retention")
+		t.Error("done job still indexed after settle")
 	}
-	if _, ok := st.Get(jobs[1].ID()); !ok {
-		t.Error("second settled job evicted too early")
+	if res, err := jobs[0].Result(); res != 0 || err != nil {
+		t.Errorf("done job's handle lost its result: (%v, %v)", res, err)
+	}
+	boom := errors.New("boom")
+	if n := st.Settle(jobs[1], nil, boom); n != 0 {
+		t.Errorf("evicted %d on first failure, want 0", n)
+	}
+	st.Settle(jobs[2], nil, boom)
+	if n := st.Settle(jobs[3], nil, boom); n != 1 {
+		t.Errorf("evicted %d on third failure, want 1", n)
+	}
+	if _, ok := st.Get(jobs[1].ID()); ok {
+		t.Error("oldest failed job survived retention")
+	}
+	if _, ok := st.Get(jobs[2].ID()); !ok {
+		t.Error("second failed job evicted too early")
 	}
 	// The never-settled job is untouchable by retention.
-	if _, ok := st.Get(jobs[3].ID()); !ok {
+	if _, ok := st.Get(jobs[4].ID()); !ok {
 		t.Error("unsettled job was evicted")
 	}
 	if st.Len() != 3 {
-		t.Errorf("Len() = %d, want 3", st.Len())
+		t.Errorf("Len() = %d, want 3 (two failed, one queued)", st.Len())
 	}
-	// An evicted id can be re-created.
-	if _, created := st.Create("k0", "fig3.3", nil); !created {
-		t.Error("re-creating an evicted key did not create")
+	// Done and evicted ids can be re-created.
+	for _, k := range []string{"k0", "k1"} {
+		if _, created := st.Create(k, "fig3.3", nil); !created {
+			t.Errorf("re-creating %s did not create", k)
+		}
+	}
+}
+
+// TestRejectWakesWaiters pins the admission-loss path: a job rejected
+// after Create settles failed with the refusal before it leaves, so a
+// request that found it in between is woken with that error, and the key
+// is free again.
+func TestRejectWakesWaiters(t *testing.T) {
+	st := NewStore(0, 1)
+	j, _ := st.Create("k", "fig3.3", nil)
+	st.Enqueue(j)
+	follower, ok := st.ByKey("k")
+	if !ok || follower != j {
+		t.Fatal("ByKey did not find the published job")
+	}
+	refused := errors.New("no slot")
+	st.Reject(j, refused)
+	select {
+	case <-follower.Done():
+	default:
+		t.Fatal("Reject left the job unsettled: its waiters would block forever")
+	}
+	if _, err := follower.Result(); err != refused {
+		t.Errorf("waiter woke with %v, want the refusal", err)
+	}
+	if follower.State() != StateFailed {
+		t.Errorf("state = %s, want failed", follower.State())
+	}
+	if _, ok := st.Get(j.ID()); ok || st.QueueLen() != 0 || len(st.List()) != 0 {
+		t.Error("rejected job still tracked")
+	}
+	if _, created := st.Create("k", "fig3.3", nil); !created {
+		t.Error("key not free after Reject")
 	}
 }
 

@@ -1,11 +1,11 @@
 package serve
 
-// This file is the persistent second level of the serving path's cache
-// hierarchy (DESIGN.md §14). Completed tables are written as JSON entries
-// under an operator-supplied directory (vpserve -cache-dir), keyed by the
-// same canonical request key as the in-memory LRU, so results survive a
-// restart and can be shared between replicas pointed at a common
-// directory. Lookup order is memory, then disk, then simulation.
+// This file is the disk tier of the result store (DESIGN.md §14).
+// Completed tables are written as JSON entries under an operator-supplied
+// directory (vpserve -cache-dir), one file per job id, so results survive
+// a restart and can be shared between replicas pointed at a common
+// directory. A file is named after the id's hash part — the hash of the
+// canonical request key — so it can be found from either.
 //
 // Every entry is stamped with the identity of the environment that
 // produced it — the same tool/toolchain/platform fields obs.Manifest
@@ -21,10 +21,10 @@ package serve
 // of table, so the loser of the rename race loses nothing.
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -32,6 +32,7 @@ import (
 	"strings"
 	"sync"
 
+	"valuepred/internal/jobs"
 	"valuepred/internal/stats"
 )
 
@@ -66,7 +67,8 @@ func currentIdentity() diskIdentity {
 }
 
 // diskEntry is the wire form of one cached table. Key is stored verbatim
-// so a hash collision (or a stray file) can never serve the wrong table.
+// and must hash to the file's job id, so a stray or misnamed file can
+// never serve the wrong table.
 type diskEntry struct {
 	Identity   diskIdentity `json:"identity"`
 	Key        string       `json:"key"`
@@ -104,30 +106,50 @@ func newDiskCache(dir string, entries int) (*diskCache, error) {
 	return &diskCache{dir: dir, entries: entries}, nil
 }
 
-// path maps a canonical request key to its entry file. Hashing keeps the
-// name filesystem-safe whatever the key contains; the stored Key field
-// disambiguates collisions.
-func (d *diskCache) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(d.dir, hex.EncodeToString(sum[:16])+".json")
+// path maps a job id to its entry file, reporting false for a string
+// that is not a job id's shape — "j" and 32 hex digits — which therefore
+// names no entry (and cannot escape the directory).
+func (d *diskCache) path(id string) (string, bool) {
+	h, ok := strings.CutPrefix(id, "j")
+	if _, err := hex.DecodeString(h); !ok || err != nil || len(h) != 32 {
+		return "", false
+	}
+	return filepath.Join(d.dir, h+".json"), true
 }
 
-// get loads the entry for key. hit reports a servable table; stale
-// reports an entry that exists but is unreadable or stamped by a
-// different environment, and is therefore skipped.
-func (d *diskCache) get(key string) (t *stats.Table, hit, stale bool) {
-	data, err := os.ReadFile(d.path(key))
+// get loads the entry for job id as a done result, its created and
+// settled times both the file's write time. hit reports a servable
+// table; stale reports an entry that exists but is unreadable, or stamped
+// by a different environment, and is therefore skipped.
+func (d *diskCache) get(id string) (r *result, hit, stale bool) {
+	path, ok := d.path(id)
+	if !ok {
+		return nil, false, false
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, false
 	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, false, true
+	}
+	data := make([]byte, info.Size())
 	var e diskEntry
-	if err := json.Unmarshal(data, &e); err != nil {
+	if _, err := io.ReadFull(f, data); err != nil || json.Unmarshal(data, &e) != nil {
 		return nil, false, true
 	}
-	if e.Identity != currentIdentity() || e.Key != key || e.Table == nil {
+	if e.Identity != currentIdentity() || jobs.IDFor(e.Key) != id || e.Table == nil {
 		return nil, false, true
 	}
-	return e.Table, true, false
+	return &result{
+		status: jobs.Status{
+			ID: id, Key: e.Key, Experiment: e.Experiment, State: jobs.StateDone,
+			Created: info.ModTime(), Settled: info.ModTime(),
+		},
+		value: e.Table,
+	}, true, false
 }
 
 // put writes the entry atomically and then evicts the oldest entries
@@ -158,7 +180,7 @@ func (d *diskCache) put(key, experiment string, t *stats.Table) (evicted int, er
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("serve: disk cache write: %w", err)
 	}
-	dst := d.path(key)
+	dst, _ := d.path(jobs.IDFor(key))
 	if err := os.Rename(tmpName, dst); err != nil {
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("serve: disk cache write: %w", err)

@@ -167,3 +167,61 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		t.Error("New accepted a cache dir under a regular file")
 	}
 }
+
+// TestDiskTierServesEvictedTables is the regression test for a live
+// server re-simulating what its own disk tier holds: with a one-entry
+// memory tier over a cache directory, the requests A, B, A serve the
+// second A from disk, byte-identically, after only two simulations.
+func TestDiskTierServesEvictedTables(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheDir: t.TempDir(), CacheEntries: 1})
+	const a, b = "/v1/experiments/table3.1" + tinyQuery, "/v1/experiments/fig3.3" + tinyQuery
+	_, _, first := get(t, ts, a)
+	get(t, ts, b)
+	status, hdr, again := get(t, ts, a)
+	if status != http.StatusOK || hdr.Get("X-Cache") != "disk" {
+		t.Errorf("evicted request: status = %d, X-Cache = %q, want 200 disk", status, hdr.Get("X-Cache"))
+	}
+	if again != first {
+		t.Errorf("disk-served table differs from the original:\n%s\nwant:\n%s", again, first)
+	}
+	if sims := counter(s, "serve.simulations"); sims != 2 {
+		t.Errorf("simulations = %d, want 2", sims)
+	}
+	if hits := counter(s, "serve.disk_cache_hit"); hits != 1 {
+		t.Errorf("disk_cache_hit = %d, want 1", hits)
+	}
+}
+
+// TestJobResultSurvivesRestart pins fetch by id against the disk tier: a
+// job one server simulated is done, with its result, on a server
+// restarted on the same cache directory — without simulating again. An
+// id of the wrong shape is unknown there, whatever it spells.
+func TestJobResultSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := newTestServer(t, Config{CacheDir: dir})
+	status, _, body := post(t, ts1, "/v1/jobs?experiment=table3.1&tracelen=3000&workloads=gcc", "")
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: status = %d, body = %s", status, body)
+	}
+	id := decodeJob(t, body).ID
+	waitState(t, ts1, id, "done")
+	_, _, want := get(t, ts1, "/v1/jobs/"+id+"/result?format=csv")
+
+	s2, ts2 := newTestServer(t, Config{CacheDir: dir, Store: tracestore.New(0)})
+	rep := waitState(t, ts2, id, "done")
+	if rep.Experiment != "table3.1" || rep.Result != "/v1/jobs/"+id+"/result" {
+		t.Errorf("restarted status = %+v", rep)
+	}
+	status, _, got := get(t, ts2, rep.Result+"?format=csv")
+	if status != http.StatusOK || got != want {
+		t.Errorf("restarted result: status = %d, body:\n%s\nwant:\n%s", status, got, want)
+	}
+	if sims := counter(s2, "serve.simulations"); sims != 0 {
+		t.Errorf("restarted server simulated %d times, want 0", sims)
+	}
+	for _, bad := range []string{"j..%2F..%2F" + id[1:], strings.ToUpper(id), id[:20]} {
+		if status, _, body := get(t, ts2, "/v1/jobs/"+bad+"/result"); status != http.StatusNotFound {
+			t.Errorf("id %q: status = %d, body = %s, want 404", bad, status, body)
+		}
+	}
+}

@@ -6,10 +6,10 @@ package serve
 // so resubmitting the same request is idempotent and two clients asking
 // for the same table share one job. Jobs run on the server's context, so
 // a submitted run survives its client disconnecting; the result stays
-// fetchable until job retention evicts it. POST /v1/merge is the serving
-// side of the shard pipeline: it recombines a complete set of shard
-// artifacts into the byte-identical unsharded tables without simulating
-// anything.
+// fetchable while the result store holds it — in memory, or on disk
+// across restarts. POST /v1/merge is the serving side of the shard
+// pipeline: it recombines a complete set of shard artifacts into the
+// byte-identical unsharded tables without simulating anything.
 
 import (
 	"encoding/json"
@@ -20,7 +20,6 @@ import (
 
 	"valuepred/internal/experiment"
 	"valuepred/internal/jobs"
-	"valuepred/internal/obs"
 	"valuepred/internal/stats"
 )
 
@@ -87,10 +86,10 @@ func (s *Server) jobReply(st jobs.Status) jobReply {
 	return rep
 }
 
-// handleJobSubmit is POST /v1/jobs: create (or find) the job for the
+// handleJobSubmit is POST /v1/jobs: find or create the job for the
 // canonical parameters. Replies 202 with the job id when a run was
-// admitted, 200 when an equivalent job already exists or the table is
-// already cached, 429 when the queue is full, 503 while draining.
+// admitted, 200 when an equivalent job already exists or its result is
+// already stored, 429 when the queue is full, 503 while draining.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("experiment")
 	if id == "" {
@@ -101,84 +100,22 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if _, ok := experiment.Describe(id); !ok {
-		writeError(w, &apiError{
-			status:  http.StatusNotFound,
-			Code:    "unknown_experiment",
-			Message: fmt.Sprintf("unknown experiment %q; list them at /v1/experiments", id),
-		})
-		return
-	}
-	rr, apiErr := parseRunRequest(r, s.cfg)
+	spec, apiErr := s.parseSpec(r, id)
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return
 	}
-	spec := jobSpec{id: id, rr: rr, shard: rr.Format == "shard"}
-	if spec.shard && !s.cfg.Shard.Enabled() {
-		writeError(w, &apiError{
-			status:  http.StatusBadRequest,
-			Code:    "bad_params",
-			Message: "format=shard requires a sharded server (vpserve -shard n/m)",
-		})
-		return
-	}
-	key := s.key(id, rr)
-	if spec.shard {
-		key += "|artifact"
-	}
-	if span, ok := obs.SpanID(r.Context()); ok {
-		spec.span = span
-	}
-
-	// A table already in a cache settles the job immediately: the client
-	// gets an id whose result is ready on the first poll.
-	if !spec.shard {
-		s.mu.Lock()
-		t, cached := s.cache.get(key)
-		s.mu.Unlock()
-		if !cached {
-			if _, busy := s.jobs.ByKey(key); !busy {
-				t, cached = s.diskGet(key)
-			}
-		}
-		if cached {
-			j, created := s.jobs.Create(key, id, spec)
-			if created {
-				s.m.jobsCreated.Inc()
-				s.jobs.MarkRunning(j)
-				if n := s.jobs.Settle(j, t, nil); n > 0 {
-					s.m.jobsEvicted.Add(uint64(n))
-				}
-				s.syncJobGauges()
-			}
-			writeJSON(w, http.StatusOK, s.jobReply(j.Status()))
-			return
-		}
-	}
-
-	for {
-		if j, ok := s.jobs.ByKey(key); ok {
-			if j.State() == jobs.StateFailed {
-				// Resubmitting a failed job retries it with a fresh run.
-				s.jobs.Drop(j)
-				s.syncJobGauges()
-				continue
-			}
-			writeJSON(w, http.StatusOK, s.jobReply(j.Status()))
-			return
-		}
-		j, created, err := s.startJob(key, spec, true)
-		if err != nil {
-			writeError(w, s.classify(err))
-			return
-		}
-		if !created {
-			continue // lost the creation race; report the winner
-		}
+	res, j, source, err := s.resolve(jobs.IDFor(spec.key), &spec, true)
+	switch {
+	case err != nil:
+		writeError(w, s.classify(err))
+	case res != nil:
+		writeJSON(w, http.StatusOK, s.jobReply(res.status))
+	case source == "miss":
 		w.Header().Set("Location", "/v1/jobs/"+j.ID())
 		writeJSON(w, http.StatusAccepted, s.jobReply(j.Status()))
-		return
+	default:
+		writeJSON(w, http.StatusOK, s.jobReply(j.Status()))
 	}
 }
 
@@ -197,65 +134,46 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 // handleJobStatus is GET /v1/jobs/{id}: one job's status, with live
 // progress while it runs.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
+	res, j, _, _ := s.resolve(r.PathValue("id"), nil, false)
+	switch {
+	case res != nil:
+		writeJSON(w, http.StatusOK, s.jobReply(res.status))
+	case j != nil:
+		writeJSON(w, http.StatusOK, s.jobReply(j.Status()))
+	default:
 		writeError(w, jobNotFound(r.PathValue("id")))
-		return
 	}
-	writeJSON(w, http.StatusOK, s.jobReply(j.Status()))
 }
 
 // handleJobResult is GET /v1/jobs/{id}/result?format=...: the settled
 // result, rendered like the synchronous endpoint. An unsettled job
 // replies 409 so pollers can tell "not yet" from "gone" (404).
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
+	format, apiErr := tableFormat(r)
+	if apiErr != nil {
+		writeError(w, apiErr)
+		return
+	}
+	res, j, _, _ := s.resolve(r.PathValue("id"), nil, false)
+	switch {
+	case res != nil:
+		writeResult(w, res.value, format)
+	case j == nil:
 		writeError(w, jobNotFound(r.PathValue("id")))
-		return
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "text"
-	}
-	if !formats[format] || format == "shard" {
-		writeError(w, &apiError{
-			status:  http.StatusBadRequest,
-			Code:    "bad_params",
-			Message: fmt.Sprintf("unknown format %q (have text, csv, md, chart, json)", format),
-		})
-		return
-	}
-	switch j.State() {
-	case jobs.StateQueued, jobs.StateRunning:
+	case j.State() == jobs.StateQueued || j.State() == jobs.StateRunning:
 		writeError(w, &apiError{
 			status:     http.StatusConflict,
 			Code:       "not_ready",
 			Message:    fmt.Sprintf("job %s is %s; poll /v1/jobs/%s", j.ID(), j.State(), j.ID()),
 			retryAfter: 1,
 		})
-		return
-	}
-	res, err := j.Result()
-	if err != nil {
-		writeError(w, s.classify(err))
-		return
-	}
-	switch v := res.(type) {
-	case *experiment.ShardFile:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		if err := v.WriteJSON(w); err != nil {
-			return // client went away mid-write
-		}
-	case *stats.Table:
-		renderTable(w, v, format)
 	default:
-		writeError(w, &apiError{
-			status:  http.StatusInternalServerError,
-			Code:    "internal",
-			Message: "job settled without a renderable result",
-		})
+		v, err := j.Result()
+		if err != nil {
+			writeError(w, s.classify(err))
+			return
+		}
+		writeResult(w, v, format)
 	}
 }
 
@@ -264,7 +182,7 @@ func jobNotFound(id string) *apiError {
 	return &apiError{
 		status:  http.StatusNotFound,
 		Code:    "unknown_job",
-		Message: fmt.Sprintf("no job %q: the id is unknown, or the job was evicted by retention", id),
+		Message: fmt.Sprintf("no job %q: the id is unknown, or its result was evicted", id),
 	}
 }
 
@@ -301,48 +219,14 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "text"
-	}
-	if !formats[format] || format == "shard" {
-		writeError(w, &apiError{
-			status:  http.StatusBadRequest,
-			Code:    "bad_params",
-			Message: fmt.Sprintf("unknown format %q (have text, csv, md, chart, json)", format),
-		})
+	format, apiErr := tableFormat(r)
+	if apiErr != nil {
+		writeError(w, apiErr)
 		return
 	}
-	if format == "json" {
-		writeJSON(w, http.StatusOK, merged)
-		return
-	}
-	contentType := "text/plain; charset=utf-8"
-	switch format {
-	case "csv":
-		contentType = "text/csv; charset=utf-8"
-	case "md":
-		contentType = "text/markdown; charset=utf-8"
-	}
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(http.StatusOK)
+	tabs := make([]*stats.Table, len(merged))
 	for i, m := range merged {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		var renderErr error
-		switch format {
-		case "csv":
-			renderErr = m.Table.RenderCSV(w)
-		case "md":
-			renderErr = m.Table.RenderMarkdown(w)
-		case "chart":
-			renderErr = m.Table.RenderChart(w)
-		default:
-			renderErr = m.Table.Render(w)
-		}
-		if renderErr != nil {
-			return // client went away mid-write
-		}
+		tabs[i] = m.Table
 	}
+	renderTables(w, format, merged, tabs...)
 }

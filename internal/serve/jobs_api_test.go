@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"valuepred/internal/jobs"
 	"valuepred/internal/stats"
 )
 
@@ -330,5 +332,48 @@ func TestFailedJobRetriesOnResubmit(t *testing.T) {
 	waitState(t, ts, id, "done")
 	if got := counter(s, "serve.jobs.failed"); got != 1 {
 		t.Errorf("jobs.failed = %d, want 1", got)
+	}
+}
+
+// TestQueuedJobNeverStranded pins that a queued job always starts: with
+// one slot, job B is submitted while job A finishes. When B queues just
+// as A, finding the queue empty, releases its slot, B must still start
+// without waiting for a next admission, which in this test never comes.
+func TestQueuedJobNeverStranded(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxConcurrent: 1})
+	release := make(chan struct{}, 1)
+	s.run = func(ctx context.Context, id string, rr runRequest) (*stats.Table, error) {
+		if rr.Seed%2 == 0 {
+			<-release // job A of the round: finish only when told
+		}
+		return &stats.Table{}, nil
+	}
+	// In process rather than over a socket: the window is a few hundred
+	// nanoseconds wide, and the socket round trip would skip past it.
+	h := s.Handler()
+	submit := func(seed int) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", fmt.Sprintf("/v1/jobs?experiment=fig5.1&tracelen=3000&workloads=gcc&seed=%d", seed), nil))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit seed %d: status = %d, body = %s", seed, rec.Code, rec.Body)
+		}
+		return decodeJob(t, rec.Body.String()).ID
+	}
+	settled := func(id string) bool {
+		j, ok := s.jobs.Get(id)
+		return !ok || j.State() == jobs.StateDone
+	}
+	for round := 0; round < 2000; round++ {
+		a := submit(2 * round)
+		release <- struct{}{}
+		b := submit(2*round + 1)
+		deadline := time.Now().Add(5 * time.Second)
+		for !settled(a) || !settled(b) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: a job never ran (queue depth %d)", round, s.jobs.QueueLen())
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
 	}
 }

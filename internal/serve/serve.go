@@ -6,15 +6,17 @@
 // The paper's lesson — exploit redundancy instead of recomputing — is
 // applied at the request level:
 //
-//   - every distinct simulation is one job in an internal/jobs store,
-//     keyed by the canonicalized run parameters; identical concurrent
+//   - every distinct simulation is one job, identified by the job id
+//     derived from the canonicalized run parameters; identical concurrent
 //     requests coalesce onto the same job, and the asynchronous API
 //     (POST /v1/jobs, GET /v1/jobs/{id}) exposes the same jobs to clients
 //     that would rather poll than hold a connection open;
-//   - completed tables land in a bounded in-memory LRU, and — when a
-//     cache directory is configured — in a persistent content-addressed
-//     store that survives restarts and can be shared between replicas
-//     (lookup order: memory, disk, simulate);
+//   - done results live in one store keyed by job id: a bounded memory
+//     tier over — when a cache directory is configured — a persistent
+//     disk tier that survives restarts and can be shared between
+//     replicas. Every endpoint resolves a job the same way: the store
+//     (memory, then disk), then a queued or running job, then a new job;
+//     the synchronous GET is that lookup plus a wait;
 //   - load beyond a configurable number of concurrent simulations is
 //     shed with 429 + Retry-After on the synchronous path, while async
 //     submissions may wait in a bounded FIFO;
@@ -52,10 +54,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,7 +77,7 @@ const (
 	DefaultMaxConcurrent = 4
 	// DefaultTimeout caps one simulation, including trace generation.
 	DefaultTimeout = 2 * time.Minute
-	// DefaultCacheEntries bounds the rendered-table LRU.
+	// DefaultCacheEntries bounds the result store's memory tier.
 	DefaultCacheEntries = 64
 	// DefaultMaxTraceLen rejects absurd per-request trace lengths before
 	// they reach an emulator.
@@ -96,8 +98,9 @@ type Config struct {
 	// Timeout caps one simulation run; <= 0 means DefaultTimeout. An
 	// expired run returns 504 Gateway Timeout.
 	Timeout time.Duration
-	// CacheEntries bounds the completed-table LRU; <= 0 means
-	// DefaultCacheEntries.
+	// CacheEntries bounds the memory tier of the result store (completed
+	// tables and shard artifacts, least-recently-used evicted first); <= 0
+	// means DefaultCacheEntries.
 	CacheEntries int
 	// MaxTraceLen rejects requests asking for longer traces; <= 0 means
 	// DefaultMaxTraceLen.
@@ -105,18 +108,15 @@ type Config struct {
 	// MaxSeeds rejects requests averaging over more seeds; <= 0 means
 	// DefaultMaxSeeds.
 	MaxSeeds int
-	// CacheDir, when non-empty, enables the persistent second-level table
-	// cache: completed tables are written there as identity-stamped JSON
-	// entries and served back — across restarts, and between replicas
-	// sharing the directory — without re-simulation. The directory is
-	// created if needed; an unwritable directory fails New.
+	// CacheDir, when non-empty, enables the result store's disk tier:
+	// completed tables are written there as identity-stamped JSON entries
+	// and served back — after memory eviction, across restarts, and
+	// between replicas sharing the directory — without re-simulation. The
+	// directory is created if needed; an unwritable directory fails New.
 	CacheDir string
 	// DiskCacheEntries bounds the on-disk cache; <= 0 means
 	// DefaultDiskCacheEntries. Eviction is oldest-written-first.
 	DiskCacheEntries int
-	// JobRetention bounds how many settled jobs are kept for result
-	// fetches by id; <= 0 means jobs.DefaultRetention.
-	JobRetention int
 	// JobQueue bounds async submissions waiting for a simulation slot;
 	// <= 0 means jobs.DefaultQueueLimit. Beyond it POST /v1/jobs sheds
 	// with 429.
@@ -167,6 +167,7 @@ var errQueueFull = errors.New("serve: the job queue is full")
 // jobSpec is the payload a job carries: everything execute needs to run
 // the simulation without the submitting request's connection or context.
 type jobSpec struct {
+	key   string // canonical request key; the job id is jobs.IDFor(key)
 	id    string // experiment id
 	rr    runRequest
 	span  uint64 // submitter's span, re-attached for event correlation (0 = none)
@@ -216,11 +217,7 @@ type Server struct {
 	events   *obs.EventLog
 	mux      *http.ServeMux
 	sem      chan struct{}
-	jobs     *jobs.Store
-	disk     *diskCache // nil when no CacheDir is configured
-
-	mu    sync.Mutex
-	cache *tableCache
+	jobs     *jobTable // the lifecycle index over the result store
 
 	// baseCtx parents every simulation context, so jobs outlive any single
 	// client but die together on Close.
@@ -287,9 +284,6 @@ func New(cfg Config) (*Server, error) {
 		sink:       obs.New(reg, nil).WithProgress(progress).WithEventLog(cfg.EventLog),
 		mux:        http.NewServeMux(),
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
-		jobs:       jobs.NewStore(cfg.JobRetention, cfg.JobQueue),
-		disk:       disk,
-		cache:      newTableCache(cfg.CacheEntries),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		m: serveMetrics{
@@ -319,6 +313,7 @@ func New(cfg Config) (*Server, error) {
 			diskErrors:    reg.Counter("serve.disk_cache_error"),
 		},
 	}
+	s.jobs = newJobTable(cfg.CacheEntries, cfg.JobQueue, disk, &s.m)
 	s.run = s.simulate
 	s.runShard = s.shardFile
 	s.store().Instrument(reg)
@@ -469,49 +464,52 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := experiment.Describe(id); !ok {
-		writeError(w, &apiError{
-			status:  http.StatusNotFound,
-			Code:    "unknown_experiment",
-			Message: fmt.Sprintf("unknown experiment %q; list them at /v1/experiments", id),
-		})
-		return
-	}
-	rr, apiErr := parseRunRequest(r, s.cfg)
+	spec, apiErr := s.parseSpec(r, r.PathValue("id"))
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return
 	}
-	if rr.Format == "shard" {
-		if !s.cfg.Shard.Enabled() {
-			writeError(w, &apiError{
-				status:  http.StatusBadRequest,
-				Code:    "bad_params",
-				Message: "format=shard requires a sharded server (vpserve -shard n/m)",
-			})
-			return
-		}
-		f, source, err := s.shardArtifact(r.Context(), id, rr)
-		if err != nil {
-			writeError(w, s.classify(err))
-			return
-		}
-		w.Header().Set("X-Cache", source)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		if err := f.WriteJSON(w); err != nil {
-			return // client went away mid-write
-		}
-		return
-	}
-	tab, source, err := s.table(r.Context(), id, rr)
+	res, source, err := s.obtain(r.Context(), spec)
 	if err != nil {
 		writeError(w, s.classify(err))
 		return
 	}
 	w.Header().Set("X-Cache", source)
-	renderTable(w, tab, rr.Format)
+	writeResult(w, res, spec.rr.Format)
+}
+
+// parseSpec validates one run request of experiment id — the experiment,
+// the query parameters, the shard gate — and returns its job spec.
+func (s *Server) parseSpec(r *http.Request, id string) (jobSpec, *apiError) {
+	if _, ok := experiment.Describe(id); !ok {
+		return jobSpec{}, &apiError{
+			status:  http.StatusNotFound,
+			Code:    "unknown_experiment",
+			Message: fmt.Sprintf("unknown experiment %q; list them at /v1/experiments", id),
+		}
+	}
+	rr, apiErr := parseRunRequest(r, s.cfg)
+	if apiErr != nil {
+		return jobSpec{}, apiErr
+	}
+	spec := jobSpec{key: rr.key(id), id: id, rr: rr, shard: rr.Format == "shard"}
+	// A sharded replica suffixes its shard so that replicas sharing a
+	// cache directory can never serve each other's partial tables.
+	if s.cfg.Shard.Of > 1 {
+		spec.key += "|shard=" + s.cfg.Shard.String()
+	}
+	if spec.shard {
+		if !s.cfg.Shard.Enabled() {
+			return jobSpec{}, &apiError{
+				status:  http.StatusBadRequest,
+				Code:    "bad_params",
+				Message: "format=shard requires a sharded server (vpserve -shard n/m)",
+			}
+		}
+		spec.key += "|artifact"
+	}
+	spec.span, _ = obs.SpanID(r.Context())
+	return spec, nil
 }
 
 // classify maps a simulation error onto the API error space.
@@ -560,151 +558,73 @@ func (s *Server) classify(err error) *apiError {
 
 // --- the job core ---
 
-// key is the canonical cache/coalescing key for (id, rr) on this server.
-// A sharded replica suffixes its shard so that replicas sharing a cache
-// directory can never serve each other's partial tables.
-func (s *Server) key(id string, rr runRequest) string {
-	k := rr.key(id)
-	if s.cfg.Shard.Of > 1 {
-		k += "|shard=" + s.cfg.Shard.String()
+// resolve is the one lookup behind every endpoint that names a job. It
+// finds job id in the result store — memory, then disk — and then in the
+// lifecycle index. With a spec (a request that can start the job), a
+// failed job is dropped and, like a missing one, started afresh: queued
+// when canQueue is set, shed otherwise. Without one (a fetch by id) it
+// only reports what exists. source is where the answer came from: "hit"
+// or "disk" for a stored result, "coalesced" for an existing job and
+// "miss" for a job this call started.
+func (s *Server) resolve(id string, spec *jobSpec, canQueue bool) (*result, *jobs.Job, string, error) {
+	if r, source, ok := s.jobs.lookup(id); ok {
+		return r, nil, source, nil
 	}
-	return k
-}
-
-// table returns the experiment table for (id, rr), serving it — in order
-// of preference — from the completed-table LRU, from the persistent disk
-// cache, by coalescing onto an identical in-flight job, or by running a
-// fresh job under the server's semaphore and timeout.
-func (s *Server) table(reqCtx context.Context, id string, rr runRequest) (*stats.Table, string, error) {
-	key := s.key(id, rr)
-	s.mu.Lock()
-	if t, ok := s.cache.get(key); ok {
-		s.mu.Unlock()
-		s.m.cacheHits.Inc()
-		return t, "hit", nil
-	}
-	s.mu.Unlock()
-	// Disk is only worth probing when no identical job is in flight —
-	// otherwise coalescing is both cheaper and fresher.
-	if _, busy := s.jobs.ByKey(key); !busy {
-		if t, ok := s.diskGet(key); ok {
-			s.mu.Lock()
-			s.cache.add(key, t)
-			s.m.cacheSize.Set(int64(s.cache.len()))
-			s.mu.Unlock()
-			return t, "disk", nil
-		}
-	}
-	spec := jobSpec{id: id, rr: rr}
-	if span, ok := obs.SpanID(reqCtx); ok {
-		spec.span = span
-	}
-	res, source, err := s.obtain(reqCtx, key, spec, false, false)
-	if err != nil {
-		return nil, "", err
-	}
-	tab, ok := res.(*stats.Table)
-	if !ok || tab == nil {
-		return nil, "", &apiError{
-			status:  http.StatusInternalServerError,
-			Code:    "internal",
-			Message: "job settled without a table",
-		}
-	}
-	return tab, source, nil
-}
-
-// shardArtifact returns the mergeable shard file for (id, rr) through the
-// same job core as table. Artifacts bypass the table caches (they are a
-// different result type) but settled artifact jobs are reused, so
-// repeated fetches of the same shard do not re-simulate within the job
-// retention window.
-func (s *Server) shardArtifact(reqCtx context.Context, id string, rr runRequest) (*experiment.ShardFile, string, error) {
-	key := s.key(id, rr) + "|artifact"
-	spec := jobSpec{id: id, rr: rr, shard: true}
-	if span, ok := obs.SpanID(reqCtx); ok {
-		spec.span = span
-	}
-	res, source, err := s.obtain(reqCtx, key, spec, false, true)
-	if err != nil {
-		return nil, "", err
-	}
-	f, ok := res.(*experiment.ShardFile)
-	if !ok || f == nil {
-		return nil, "", &apiError{
-			status:  http.StatusInternalServerError,
-			Code:    "internal",
-			Message: "job settled without a shard artifact",
-		}
-	}
-	if source == "job" {
-		source = "hit"
-	}
-	return f, source, nil
-}
-
-// obtain resolves key to a settled result by joining the job behind it:
-// coalescing onto a queued or running job, starting a fresh one, or —
-// when reuseSettled is set — returning a retained done job's result
-// (source "job"). A done job found with reuseSettled unset is dropped and
-// re-run, which keeps the synchronous path's cache semantics with the
-// in-memory LRU and the disk store, not job retention (retention serves
-// the async fetch-by-id API). A failed job never poisons its key: it is
-// dropped and the run retried.
-func (s *Server) obtain(reqCtx context.Context, key string, spec jobSpec, canQueue, reuseSettled bool) (any, string, error) {
 	for {
-		if j, ok := s.jobs.ByKey(key); ok {
-			switch j.State() {
-			case jobs.StateDone:
-				if reuseSettled {
-					res, err := j.Result()
-					return res, "job", err
-				}
-				s.jobs.Drop(j)
-				s.syncJobGauges()
-				continue
-			case jobs.StateFailed:
-				s.jobs.Drop(j)
-				s.syncJobGauges()
-				continue
-			default:
-				s.m.coalesced.Inc()
-				j.Followers.Add(1)
-				res, err := s.wait(reqCtx, j)
-				j.Followers.Add(-1)
-				return res, "coalesced", err
+		j, ok := s.jobs.Get(id)
+		switch {
+		case ok && (spec == nil || j.State() != jobs.StateFailed):
+			return nil, j, "coalesced", nil
+		case ok:
+			s.jobs.Drop(j)
+		default:
+			// A job that settled since the lookup above stored its result
+			// in memory before it left the index.
+			if r, ok := s.jobs.memory(id); ok {
+				return r, nil, "hit", nil
+			}
+			if spec == nil {
+				return nil, nil, "", nil
 			}
 		}
-		j, created, err := s.startJob(key, spec, canQueue)
-		if err != nil {
-			return nil, "", err
+		j, created, err := s.startJob(*spec, canQueue)
+		if err != nil || created {
+			return nil, j, "miss", err
 		}
-		if !created {
-			// Lost the creation race; loop to join the winner.
-			continue
-		}
-		res, err := s.wait(reqCtx, j)
-		return res, "miss", err
+		// Lost the creation race; loop to join the winner.
 	}
 }
 
-// wait blocks until the job settles or the caller's request context ends.
-func (s *Server) wait(reqCtx context.Context, j *jobs.Job) (any, error) {
+// obtain is the synchronous path: resolve spec's job, then wait for it
+// to settle or for the caller's request context to end. A client that
+// gives up leaves the job running for everyone else.
+func (s *Server) obtain(reqCtx context.Context, spec jobSpec) (any, string, error) {
+	r, j, source, err := s.resolve(jobs.IDFor(spec.key), &spec, false)
+	switch {
+	case err != nil:
+		return nil, "", err
+	case r != nil:
+		return r.value, source, nil
+	case source == "coalesced":
+		s.m.coalesced.Inc()
+		j.Followers.Add(1)
+		defer j.Followers.Add(-1)
+	}
 	select {
 	case <-j.Done():
-		return j.Result()
+		res, err := j.Result()
+		return res, source, err
 	case <-reqCtx.Done():
-		// This client gave up; the job keeps running for everyone else.
-		return nil, reqCtx.Err()
+		return nil, "", reqCtx.Err()
 	}
 }
 
-// startJob creates and admits the job for key: it starts executing
+// startJob creates and admits the job for spec: it starts executing
 // immediately when a simulation slot is free, waits in the bounded FIFO
 // when canQueue is set, and is shed otherwise. The boolean reports
 // whether this call created the job; false with a nil error means another
 // submitter won the creation race.
-func (s *Server) startJob(key string, spec jobSpec, canQueue bool) (*jobs.Job, bool, error) {
+func (s *Server) startJob(spec jobSpec, canQueue bool) (*jobs.Job, bool, error) {
 	if s.Draining() {
 		return nil, false, &apiError{
 			status:  http.StatusServiceUnavailable,
@@ -712,29 +632,51 @@ func (s *Server) startJob(key string, spec jobSpec, canQueue bool) (*jobs.Job, b
 			Message: "server is draining; no new simulations are accepted",
 		}
 	}
-	j, created := s.jobs.Create(key, spec.id, spec)
+	j, created := s.jobs.Create(spec.key, spec.id, spec)
 	if !created {
 		return j, false, nil
 	}
+	defer s.syncJobGauges()
 	select {
 	case s.sem <- struct{}{}:
 		s.m.jobsCreated.Inc()
-		s.syncJobGauges()
 		s.begin(j)
+		return j, true, nil
 	default:
-		if canQueue && s.jobs.Enqueue(j) {
+	}
+	shed := errSaturated
+	if canQueue {
+		if s.jobs.Enqueue(j) {
 			s.m.jobsCreated.Inc()
 			s.m.jobsQueued.Inc()
-			s.syncJobGauges()
+			// The last running job may have released its slot between the
+			// select above and Enqueue, without seeing this job queued.
+			s.admitQueued()
 			return j, true, nil
 		}
-		s.jobs.Drop(j)
-		if canQueue {
-			return nil, false, errQueueFull
-		}
-		return nil, false, errSaturated
+		shed = errQueueFull
 	}
-	return j, true, nil
+	// The job is already visible: a request that found it since Create
+	// must wake with the same refusal, not wait on a job that never runs.
+	s.jobs.Reject(j, shed)
+	return nil, false, shed
+}
+
+// admitQueued starts queued jobs while a simulation slot is free.
+func (s *Server) admitQueued() {
+	for s.jobs.QueueLen() > 0 {
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			return
+		}
+		j, ok := s.jobs.Dequeue()
+		if !ok {
+			<-s.sem
+			return
+		}
+		s.begin(j)
+	}
 }
 
 // begin marks the job running and launches its executor. The caller must
@@ -753,13 +695,12 @@ func (s *Server) begin(j *jobs.Job) {
 // execute runs one admitted job to completion and settles it. The
 // simulation context descends from the server, not the submitting
 // request: the job outlives any client that asked for it (BeginDrain lets
-// it finish, Close aborts it). On success the table lands in the LRU and
-// the disk cache before the job settles, so waiters and cache readers
-// agree.
+// it finish, Close aborts it). On success the result lands in the result
+// store before the job settles and leaves the index, so every waiter and
+// reader finds it in one place or the other.
 func (s *Server) execute(j *jobs.Job) {
 	spec := j.Spec().(jobSpec)
-	key := j.Key()
-	var result any
+	var value any
 	var err error
 	func() {
 		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Timeout)
@@ -771,7 +712,7 @@ func (s *Server) execute(j *jobs.Job) {
 			ctx = obs.WithSpan(ctx, spec.span)
 		}
 		simDone := s.events.Start(ctx, "serve", "simulation",
-			obs.F("experiment", spec.id), obs.F("key", key))
+			obs.F("experiment", spec.id), obs.F("key", spec.key))
 		// A panicking simulation settles the job as a structured error
 		// instead of unwinding the goroutine: without this recover, one
 		// panic would leak a semaphore slot forever, keep serve.inflight
@@ -779,7 +720,7 @@ func (s *Server) execute(j *jobs.Job) {
 		defer func() {
 			if p := recover(); p != nil {
 				s.m.panics.Inc()
-				result, err = nil, &apiError{
+				value, err = nil, &apiError{
 					status:  http.StatusInternalServerError,
 					Code:    "panic",
 					Message: fmt.Sprint(p),
@@ -788,20 +729,18 @@ func (s *Server) execute(j *jobs.Job) {
 			simDone(err == nil)
 		}()
 		if spec.shard {
-			result, err = s.runShard(ctx, spec.id, spec.rr)
+			value, err = s.runShard(ctx, spec.id, spec.rr)
 		} else {
-			result, err = s.run(ctx, spec.id, spec.rr)
+			value, err = s.run(ctx, spec.id, spec.rr)
 		}
 	}()
 
-	if tab, ok := result.(*stats.Table); ok && tab != nil && err == nil && !spec.shard {
-		s.mu.Lock()
-		s.cache.add(key, tab)
-		s.m.cacheSize.Set(int64(s.cache.len()))
-		s.mu.Unlock()
-		s.diskPut(key, spec.id, tab)
+	if err == nil {
+		st := j.Status()
+		st.State, st.Settled, st.Followers = jobs.StateDone, time.Now(), 0
+		s.jobs.put(&result{status: st, value: value})
 	}
-	if n := s.jobs.Settle(j, result, err); n > 0 {
+	if n := s.jobs.Settle(j, value, err); n > 0 {
 		s.m.jobsEvicted.Add(uint64(n))
 	}
 	if err != nil {
@@ -809,57 +748,22 @@ func (s *Server) execute(j *jobs.Job) {
 	} else {
 		s.m.jobsCompleted.Inc()
 	}
-	s.syncJobGauges()
 	s.m.inflight.Add(-1)
 	// Hand the slot straight to the next queued job, if any, so the queue
 	// drains FIFO without releasing and re-acquiring the semaphore.
 	if next, ok := s.jobs.Dequeue(); ok {
-		s.syncJobGauges()
 		s.begin(next)
 	} else {
 		<-s.sem
+		s.admitQueued()
 	}
+	s.syncJobGauges()
 }
 
-// syncJobGauges refreshes the job store gauges after a mutation.
+// syncJobGauges refreshes the job index gauges after a mutation.
 func (s *Server) syncJobGauges() {
 	s.m.jobsTracked.Set(int64(s.jobs.Len()))
 	s.m.jobsQueue.Set(int64(s.jobs.QueueLen()))
-}
-
-// diskGet probes the persistent cache, counting the outcome.
-func (s *Server) diskGet(key string) (*stats.Table, bool) {
-	if s.disk == nil {
-		return nil, false
-	}
-	t, hit, stale := s.disk.get(key)
-	switch {
-	case hit:
-		s.m.diskHits.Inc()
-	case stale:
-		s.m.diskStale.Inc()
-	default:
-		s.m.diskMisses.Inc()
-	}
-	return t, hit
-}
-
-// diskPut writes a completed table to the persistent cache, counting the
-// write and any evictions. Write failures are counted, not fatal: the
-// table was already served from memory.
-func (s *Server) diskPut(key, id string, t *stats.Table) {
-	if s.disk == nil {
-		return
-	}
-	evicted, err := s.disk.put(key, id, t)
-	if err != nil {
-		s.m.diskErrors.Inc()
-		return
-	}
-	s.m.diskWrites.Inc()
-	if evicted > 0 {
-		s.m.diskEvicts.Add(uint64(evicted))
-	}
 }
 
 // simulate is the production run function: the experiment runners with the
@@ -938,9 +842,19 @@ func (rr runRequest) key(id string) string {
 		id, rr.Seed, rr.TraceLen, rr.Seeds, strings.Join(rr.Workloads, ","))
 }
 
-// formats are the supported render formats: vpsim's output flags, plus
-// "shard" for the mergeable artifact a sharded replica serves.
-var formats = map[string]bool{"text": true, "csv": true, "md": true, "chart": true, "json": true, "shard": true}
+// tableFormats are the text renderings of a table, matching vpsim's
+// output flags, with their Content-Type. The other formats are "json",
+// the marshaled stats.Table, and "shard", the mergeable artifact a
+// sharded replica serves.
+var tableFormats = map[string]struct {
+	contentType string
+	render      func(*stats.Table, io.Writer) error
+}{
+	"text":  {"text/plain; charset=utf-8", (*stats.Table).Render},
+	"csv":   {"text/csv; charset=utf-8", (*stats.Table).RenderCSV},
+	"md":    {"text/markdown; charset=utf-8", (*stats.Table).RenderMarkdown},
+	"chart": {"text/plain; charset=utf-8", (*stats.Table).RenderChart},
+}
 
 // parseRunRequest validates and canonicalizes the query parameters.
 func parseRunRequest(r *http.Request, cfg Config) (runRequest, *apiError) {
@@ -996,7 +910,7 @@ func parseRunRequest(r *http.Request, cfg Config) (runRequest, *apiError) {
 		rr.Workloads = workload.Names()
 	}
 	if v := q.Get("format"); v != "" {
-		if !formats[v] {
+		if _, ok := tableFormats[v]; !ok && v != "json" && v != "shard" {
 			return bad("unknown format %q (have text, csv, md, chart, json, shard)", v)
 		}
 		rr.Format = v
@@ -1006,30 +920,63 @@ func parseRunRequest(r *http.Request, cfg Config) (runRequest, *apiError) {
 
 // --- rendering ---
 
-// renderTable writes tab in the requested format. The text, csv, md and
-// chart formats are byte-identical to vpsim's -o output for the same
-// parameters; json marshals the stats.Table struct.
-func renderTable(w http.ResponseWriter, tab *stats.Table, format string) {
-	var err error
-	switch format {
-	case "json":
-		writeJSON(w, http.StatusOK, tab)
-		return
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		err = tab.RenderCSV(w)
-	case "md":
-		w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
-		err = tab.RenderMarkdown(w)
-	case "chart":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		err = tab.RenderChart(w)
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		err = tab.Render(w)
+// tableFormat reads the format parameter of an endpoint that renders
+// tables but not shard artifacts; it defaults to text.
+func tableFormat(r *http.Request) (string, *apiError) {
+	format := r.URL.Query().Get("format")
+	if format == "" {
+		format = "text"
 	}
-	if err != nil {
-		return // headers are out; a render error here means the client left
+	if _, ok := tableFormats[format]; !ok && format != "json" {
+		return "", &apiError{
+			status:  http.StatusBadRequest,
+			Code:    "bad_params",
+			Message: fmt.Sprintf("unknown format %q (have text, csv, md, chart, json)", format),
+		}
+	}
+	return format, nil
+}
+
+// renderTables writes tabs in format, separated by a blank line as vpsim
+// -merge prints them; the text, csv, md and chart formats are
+// byte-identical to vpsim's -o output for the same parameters. The json
+// format marshals asJSON instead: the caller's JSON view of the tables.
+func renderTables(w http.ResponseWriter, format string, asJSON any, tabs ...*stats.Table) {
+	f, ok := tableFormats[format]
+	if !ok {
+		writeJSON(w, http.StatusOK, asJSON)
+		return
+	}
+	w.Header().Set("Content-Type", f.contentType)
+	w.WriteHeader(http.StatusOK)
+	for i, tab := range tabs {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := f.render(tab, w); err != nil {
+			return // headers are out; a render error here means the client left
+		}
+	}
+}
+
+// writeResult renders a job's result: a table in format, or a shard
+// artifact as its JSON whatever the format.
+func writeResult(w http.ResponseWriter, res any, format string) {
+	switch v := res.(type) {
+	case *experiment.ShardFile:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		if err := v.WriteJSON(w); err != nil {
+			return // client went away mid-write
+		}
+	case *stats.Table:
+		renderTables(w, format, v, v)
+	default:
+		writeError(w, &apiError{
+			status:  http.StatusInternalServerError,
+			Code:    "internal",
+			Message: "job settled without a renderable result",
+		})
 	}
 }
 

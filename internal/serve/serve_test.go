@@ -273,6 +273,41 @@ func TestSaturation(t *testing.T) {
 	}
 }
 
+// TestSaturatedShedWakesFollowers is the regression test for a follower
+// hang: with the only slot held, rounds of concurrent identical requests
+// must all be shed with 429 — including any request that coalesced onto
+// a job in the instant between its creation and its shedding, which must
+// not wait until its own client gives up.
+func TestSaturatedShedWakesFollowers(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxConcurrent: 1})
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	h := s.Handler()
+	const rounds, clients = 1000, 16
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		codes := make([]int, clients)
+		for i := range codes {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				defer cancel()
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/experiments/fig5.1"+tinyQuery, nil).WithContext(ctx))
+				codes[i] = rec.Code
+			}(i)
+		}
+		wg.Wait()
+		for i, code := range codes {
+			if code != http.StatusTooManyRequests {
+				t.Fatalf("round %d, client %d: status %d, want 429 (coalesced = %d)",
+					round, i, code, counter(s, "serve.coalesced"))
+			}
+		}
+	}
+}
+
 // TestBadParams checks the structured error body for every rejected input.
 func TestBadParams(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
