@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint lint-json test race bench bench-gate bench-smoke bench-check bench-tracestore serve-smoke clean
+.PHONY: check build vet lint lint-json test race fuzz-smoke bench bench-gate bench-smoke bench-check bench-tracestore serve-smoke clean
 
 # check is the CI gate: static analysis (go vet + the custom vplint
 # suite), a full build, and the test suite under the race detector (the
@@ -32,6 +32,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke runs each native fuzz target for a short burst: the binary
+# trace decoder, and the closed-form ideal machine against its
+# cycle-stepped reference. Minimizing each new corpus entry may take 60s
+# by default, which would stall a short burst, so it is capped at 100 runs.
+FUZZFLAGS = -run='^$$' -fuzztime=15s -fuzzminimizetime=100x
+fuzz-smoke:
+	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzReader$$' ./internal/trace
+	$(GO) test $(FUZZFLAGS) -fuzz='^FuzzRunMatchesReference$$' ./internal/ideal
 
 # bench runs every benchmark and writes the parsed report — ns/op, the
 # simulated-instructions-per-second metric each benchmark reports, and the

@@ -36,20 +36,20 @@ type Config struct {
 	IncludeMemoryDeps bool
 	// MispredictPenalty is the extra delay, beyond normal producer-to-
 	// consumer forwarding, suffered by a consumer that speculated on a
-	// wrong value (Section 3: 0, instant reschedule).
+	// wrong value (Section 3: 0, instant reschedule). Must not be negative.
 	MispredictPenalty int
 	// OracleVP models the perfect value predictor of the Table 3.2
 	// walk-through: every value-producing instruction is predicted
 	// correctly. It overrides Predictor.
 	OracleVP bool
-	// Observer, when non-nil, is called as each instruction executes with
-	// its sequence number, fetch cycle and execute cycle (commit follows
-	// one cycle after execute).
+	// Observer, when non-nil, is called once per instruction, in trace
+	// order, with its sequence number, fetch cycle and execute cycle
+	// (commit follows one cycle after execute).
 	Observer func(seq, fetchCycle, execCycle uint64)
 	// Obs, when non-nil, receives per-cycle stage occupancy and
 	// value-prediction outcomes. Strictly write-only: results are
 	// bit-identical with Obs set or nil, and a nil Obs costs the loop only
-	// a nil-check.
+	// nil-checks.
 	Obs *obs.Sink
 }
 
@@ -97,218 +97,252 @@ func Speedup(base, r Result) float64 {
 	return (r.IPC()/base.IPC() - 1) * 100
 }
 
-// producerInfo is the bookkeeping for one in-flight (or executed) dynamic
-// instruction viewed as a producer.
-type producerInfo struct {
-	execCycle  uint64
-	done       bool
-	predicted  bool // confident prediction existed at fetch
-	correct    bool // ... and matched the actual value
-	usefulSeen bool // a consumer was decoupled by it (counted once)
-}
-
-// windowEntry is one instruction in flight.
-type windowEntry struct {
-	seq       uint64
-	fetchedAt uint64
-	earliest  uint64 // fetch cycle + 2 (pipeline depth)
-	availAt   uint64 // max availability over resolved operand constraints
-	prod      *producerInfo
-	waitOn    []*producerInfo // unpredicted in-flight producers
-	mispredOn []*producerInfo // consumed mispredictions, still in flight
-	specOn    []*producerInfo // correct predictions being speculated on
-}
-
-// ready reports whether the entry can execute at cycle.
-func (w *windowEntry) ready(cycle uint64) bool {
-	return len(w.waitOn) == 0 && len(w.mispredOn) == 0 &&
-		w.earliest <= cycle && w.availAt <= cycle
-}
-
-// addDep records one operand dependence on producer p, classifying it the
-// way the paper's protocol does: an already executed producer just bounds
-// availAt; a correctly predicted in-flight producer is speculated past; a
-// consumed misprediction delays until the real value arrives; everything
-// else is a plain wait. A method rather than a closure so the hot fetch
-// loop allocates nothing per instruction.
-func (w *windowEntry) addDep(p *producerInfo) {
-	switch {
-	case p == nil:
-		return
-	case p.done:
-		if at := p.execCycle + 1; at > w.availAt {
-			w.availAt = at
-		}
-	case p.predicted && p.correct:
-		w.specOn = append(w.specOn, p)
-	case p.predicted: // consumed misprediction
-		w.mispredOn = append(w.mispredOn, p)
-	default:
-		w.waitOn = append(w.waitOn, p)
-	}
-}
-
-// resolve folds newly executed producers into availAt.
-func (w *windowEntry) resolve(penalty uint64) {
-	n := 0
-	for _, p := range w.waitOn {
-		if p.done {
-			if at := p.execCycle + 1; at > w.availAt {
-				w.availAt = at
-			}
-		} else {
-			w.waitOn[n] = p
-			n++
-		}
-	}
-	w.waitOn = w.waitOn[:n]
-	n = 0
-	for _, p := range w.mispredOn {
-		if p.done {
-			if at := p.execCycle + 1 + penalty; at > w.availAt {
-				w.availAt = at
-			}
-		} else {
-			w.mispredOn[n] = p
-			n++
-		}
-	}
-	w.mispredOn = w.mispredOn[:n]
+// producer is the timing state of a register's latest writer.
+type producer struct {
+	exec      uint64 // execute cycle; 0 while the register was never written
+	predicted bool   // confident prediction existed at fetch
+	correct   bool   // ... and matched the actual value
+	usefulAt  uint64 // earliest execute cycle of a decoupled consumer; 0 if none
 }
 
 // Run simulates the trace under cfg and returns the result.
+//
+// The machine has unlimited functional units and every producer precedes
+// its consumers in trace order, so an instruction's execute cycle is fixed
+// the moment it is fetched (DESIGN.md §7):
+//
+//	exec = max(fetch+2, exec_p+1 over unpredicted producers,
+//	           exec_p+1+penalty over mispredicted producers)
+//
+// where only producers still in flight at fetch (exec_p > fetch) count; a
+// correctly predicted producer imposes nothing, and is useful once some
+// consumer executes no later than it does. Run therefore makes one pass
+// over the trace; the window is the min-heap of in-flight execute cycles.
 func Run(src trace.Source, cfg Config) (Result, error) {
-	if cfg.FetchWidth <= 0 || cfg.WindowSize <= 0 {
+	if cfg.FetchWidth <= 0 || cfg.WindowSize <= 0 || cfg.MispredictPenalty < 0 {
 		return Result{}, fmt.Errorf("ideal: invalid config %+v", cfg)
 	}
-	var res Result
-	// All per-run state comes out of a pooled scratch (scratch.go): the
-	// window entries, the producer bookkeeping and the memory-producer map
-	// are reused across runs instead of reallocated per instruction.
-	s := getScratch()
-	defer putScratch(s)
-	var regProd [32]*producerInfo
-	memProd := s.memProd
-	window := s.window[:0]
+	var (
+		res   Result
+		regs  [32]producer
+		slots int    // fetch slots used in cycle
+		last  uint64 // latest execute cycle so far
+		log   *cycleLog
+	)
+	cycle := uint64(1)                 // fetch cycle of the next instruction
+	memExec := make(map[uint64]uint64) // address -> execute cycle of its last store
+	window := make(execHeap, 0, cfg.WindowSize)
 	penalty := uint64(cfg.MispredictPenalty)
-
 	o := cfg.Obs // nil when instrumentation is disabled
-
-	var cycle uint64 = 1
-	eof := false
+	if o != nil {
+		log = &cycleLog{next: 1}
+	}
 	for {
-		// Execute phase: every ready entry executes this cycle (unlimited
-		// functional units). Entries are in fetch order, so a producer
-		// executing this cycle is marked done before later consumers in
-		// the same sweep — a same-cycle consumer counts as decoupled.
-		executed := 0
-		n := 0
-		for _, w := range window {
-			w.resolve(penalty)
-			if w.ready(cycle) {
-				w.prod.execCycle = cycle
-				w.prod.done = true
-				res.Insts++
-				executed++
-				if cfg.Observer != nil {
-					cfg.Observer(w.seq, w.fetchedAt, cycle)
-				}
-				for _, p := range w.specOn {
-					// Useful iff the producer had not finished strictly
-					// before this consumer executed.
-					if (!p.done || p.execCycle >= cycle) && !p.usefulSeen {
-						p.usefulSeen = true
-						res.Used++
-						if o != nil {
-							o.VPUseful()
-						}
-					}
-				}
-				// The entry leaves the window at execute; only its
-				// producerInfo (arena-owned) remains referenced.
-				s.entries.release(w)
-			} else {
-				window[n] = w
-				n++
-			}
-		}
-		window = window[:n]
-
-		// Fetch phase: up to FetchWidth instructions while the window has
-		// room; they may execute two cycles later.
-		fetched := 0
-		for f := 0; f < cfg.FetchWidth && len(window) < cfg.WindowSize && !eof; f++ {
-			rec, ok := src.Next()
-			if !ok {
-				eof = true
-				break
-			}
-			w := s.entries.alloc()
-			w.seq, w.fetchedAt, w.earliest = rec.Seq, cycle, cycle+2
-			w.prod = s.producers.alloc()
-
-			fetched++
-
-			if cfg.OracleVP && rec.WritesValue() {
-				w.prod.predicted = true
-				w.prod.correct = true
-				res.Attempted++
-				res.Correct++
-				if o != nil {
-					o.VPAttempt(true)
-				}
-			} else if cfg.Predictor != nil && rec.WritesValue() {
-				pr := cfg.Predictor.Lookup(rec.PC)
-				if pr.Confident {
-					w.prod.predicted = true
-					w.prod.correct = pr.Value == rec.Val
-					res.Attempted++
-					if w.prod.correct {
-						res.Correct++
-					}
-					if o != nil {
-						o.VPAttempt(w.prod.correct)
-					}
-				}
-				cfg.Predictor.Update(rec.PC, rec.Val)
-			}
-
-			if rec.Op.ReadsRs1() && rec.Rs1 != 0 {
-				w.addDep(regProd[rec.Rs1])
-			}
-			if rec.Op.ReadsRs2() && rec.Rs2 != 0 {
-				w.addDep(regProd[rec.Rs2])
-			}
-			if cfg.IncludeMemoryDeps && rec.Op.IsLoad() {
-				w.addDep(memProd[rec.Addr])
-			}
-
-			if rec.WritesValue() {
-				regProd[rec.Rd] = w.prod
-			}
-			if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
-				memProd[rec.Addr] = w.prod
-			}
-			window = append(window, w)
-		}
-
-		if o != nil {
-			// The ideal machine commits one cycle after execute; the commit
-			// count is reported as the execute count for display purposes.
-			o.Cycle(cycle, fetched, executed, executed, len(window))
-		}
-
-		if eof && len(window) == 0 {
+		rec, ok := src.Next()
+		if !ok {
 			break
 		}
-		cycle++
+		// Fetch needs a free slot this cycle and a free window entry; an
+		// entry frees in the cycle its instruction executes.
+		for {
+			for len(window) > 0 && window[0] <= cycle {
+				window.pop()
+			}
+			if slots < cfg.FetchWidth && len(window) < cfg.WindowSize {
+				break
+			}
+			if len(window) == cfg.WindowSize {
+				cycle = window[0]
+			} else {
+				cycle++
+			}
+			slots = 0
+		}
+		if log != nil {
+			log.replay(o, cycle)
+			log.at(cycle).fetched++
+		}
+
+		var p producer
+		if rec.WritesValue() {
+			switch {
+			case cfg.OracleVP:
+				p.predicted, p.correct = true, true
+			case cfg.Predictor != nil:
+				pr := cfg.Predictor.Lookup(rec.PC)
+				p.predicted, p.correct = pr.Confident, pr.Confident && pr.Value == rec.Val
+				cfg.Predictor.Update(rec.PC, rec.Val)
+			}
+			if p.predicted {
+				res.Attempted++
+				if p.correct {
+					res.Correct++
+				}
+				if log != nil && p.correct {
+					log.at(cycle).correct++
+				} else if log != nil {
+					log.at(cycle).wrong++
+				}
+			}
+		}
+
+		// Operands. r0 is never written, so its state never constrains.
+		exec := cycle + 2
+		var srcs [2]*producer
+		if rec.Op.ReadsRs1() {
+			srcs[0] = &regs[rec.Rs1]
+		}
+		if rec.Op.ReadsRs2() {
+			srcs[1] = &regs[rec.Rs2]
+		}
+		for _, q := range srcs {
+			switch {
+			case q == nil || q.exec <= cycle: // executed before this fetch
+			case q.predicted && q.correct: // speculated past
+			case q.predicted:
+				exec = max(exec, q.exec+1+penalty)
+			default:
+				exec = max(exec, q.exec+1)
+			}
+		}
+		if cfg.IncludeMemoryDeps && rec.Op.IsLoad() {
+			if e := memExec[rec.Addr]; e > cycle {
+				exec = max(exec, e+1)
+			}
+		}
+		// A correct prediction is useful iff this consumer executes no
+		// later than its producer; it counts once, at the earliest such
+		// consumer's execute cycle.
+		for _, q := range srcs {
+			if q == nil || q.exec <= cycle || !q.correct || exec > q.exec ||
+				(q.usefulAt != 0 && q.usefulAt <= exec) {
+				continue
+			}
+			if q.usefulAt == 0 {
+				res.Used++
+			} else if log != nil {
+				log.at(q.usefulAt).useful--
+			}
+			q.usefulAt = exec
+			if log != nil {
+				log.at(exec).useful++
+			}
+		}
+
+		if rec.WritesValue() {
+			p.exec = exec
+			regs[rec.Rd] = p
+		}
+		if cfg.IncludeMemoryDeps && rec.Op.IsStore() {
+			memExec[rec.Addr] = exec
+		}
+		window.push(exec)
+		slots++
+		last = max(last, exec)
+		res.Insts++
+		if cfg.Observer != nil {
+			cfg.Observer(rec.Seq, cycle, exec)
+		}
+		if log != nil {
+			log.at(exec).executed++
+		}
 	}
-	res.Cycles = cycle
-	// Hand the (possibly grown) window backing store back to the scratch
-	// so the next run reuses its capacity.
-	s.window = window[:0]
+	res.Cycles = max(last, 1)
 	if o != nil {
+		log.replay(o, res.Cycles+1)
 		o.RunDone(res.Insts, res.Cycles, res.Correct, res.Used)
 	}
 	return res, nil
+}
+
+// execHeap is a min-heap of the execute cycles of in-flight instructions:
+// its length is the window occupancy, its root the next cycle that frees
+// an entry.
+type execHeap []uint64
+
+func (h *execHeap) push(x uint64) {
+	s := append(*h, x)
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if s[up] <= s[i] {
+			break
+		}
+		s[up], s[i] = s[i], s[up]
+		i = up
+	}
+	*h = s
+}
+
+func (h *execHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1] < s[c] {
+			c++
+		}
+		if s[i] <= s[c] {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+}
+
+// cycleCounts are the Obs events of one cycle.
+type cycleCounts struct{ fetched, executed, correct, wrong, useful int }
+
+// cycleLog buffers per-cycle Obs events. Run learns an instruction's
+// events at fetch, ahead of the cycles they belong to; a cycle is final
+// once the fetch cycle has passed it, because everything fetched later
+// executes at least two cycles after its own fetch.
+type cycleLog struct {
+	ring   []cycleCounts // cycle c lives at ring[c%len(ring)]
+	next   uint64        // first cycle not yet replayed
+	window int           // occupancy at the end of cycle next-1
+}
+
+// at returns the counts of cycle c >= l.next, growing the ring to reach it.
+func (l *cycleLog) at(c uint64) *cycleCounts {
+	if n := uint64(len(l.ring)); c-l.next >= n {
+		size := max(2*n, 64)
+		for size <= c-l.next {
+			size *= 2
+		}
+		ring := make([]cycleCounts, size)
+		for x := l.next; x < l.next+n; x++ {
+			ring[x%size] = l.ring[x%n]
+		}
+		l.ring = ring
+	}
+	return &l.ring[c%uint64(len(l.ring))]
+}
+
+// replay emits every cycle before end in the order the machine raises
+// them: useful predictions (execute phase), prediction attempts (fetch
+// phase), then the cycle's stage counts.
+func (l *cycleLog) replay(o *obs.Sink, end uint64) {
+	for ; l.next < end; l.next++ {
+		k := l.at(l.next)
+		for range k.useful {
+			o.VPUseful()
+		}
+		for range k.correct {
+			o.VPAttempt(true)
+		}
+		for range k.wrong {
+			o.VPAttempt(false)
+		}
+		// The ideal machine commits one cycle after execute; the commit
+		// count is reported as the execute count for display purposes.
+		l.window += k.fetched - k.executed
+		o.Cycle(l.next, k.fetched, k.executed, k.executed, l.window)
+		*k = cycleCounts{}
+	}
 }

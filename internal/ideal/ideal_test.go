@@ -31,6 +31,54 @@ func fig32() []trace.Rec {
 	}
 }
 
+// uselessTrace is a producer at seq 0 and its consumer at seq 4 (DID 4),
+// with filler in between.
+func uselessTrace() []trace.Rec {
+	recs := []trace.Rec{{Seq: 0, PC: 0x1000, Op: isa.LI, Rd: isa.T0, Val: 7}}
+	for i := 1; i <= 3; i++ {
+		recs = append(recs, trace.Rec{Seq: uint64(i), PC: isa.PCOf(i), Op: isa.LI, Rd: isa.T1, Val: 1})
+	}
+	return append(recs, trace.Rec{Seq: 4, PC: 0x2000, Op: isa.ADDI, Rd: isa.T2, Rs1: isa.T0, Val: 8})
+}
+
+// chainTrace is a serial chain of n dependent, perfectly strided adds.
+func chainTrace(n int) []trace.Rec {
+	recs := make([]trace.Rec, n)
+	for i := range recs {
+		recs[i] = trace.Rec{Seq: uint64(i), PC: isa.PCOf(i % 8), Op: isa.ADDI,
+			Rd: isa.T0, Rs1: isa.T0, Val: uint64(i)}
+	}
+	return recs
+}
+
+// memDepTrace is store (value from a 10-deep chain) -> load of the same
+// address; without VP the load waits for the store.
+func memDepTrace() []trace.Rec {
+	recs := chainTrace(10)
+	for i := range recs {
+		recs[i].PC = isa.PCOf(i)
+	}
+	return append(recs,
+		trace.Rec{Seq: 10, PC: isa.PCOf(10), Op: isa.SD, Rs1: isa.SP, Rs2: isa.T0, Addr: 8, Val: 9},
+		trace.Rec{Seq: 11, PC: isa.PCOf(11), Op: isa.LD, Rd: isa.T1, Rs1: isa.SP, Addr: 8, Val: 9},
+	)
+}
+
+// noisyPairTrace is n pairs of a pseudo-random chain value and a consumer
+// of it: a stride predictor is always confident and mostly wrong on it.
+func noisyPairTrace(n int) []trace.Rec {
+	recs := make([]trace.Rec, 0, 2*n)
+	noise := uint64(12345)
+	for i := 0; i < n; i++ {
+		noise = noise*6364136223846793005 + 1442695040888963407
+		recs = append(recs,
+			trace.Rec{Seq: uint64(2 * i), PC: 0x1000, Op: isa.XOR, Rd: isa.T0, Rs1: isa.T0, Val: noise},
+			trace.Rec{Seq: uint64(2*i + 1), PC: 0x1004, Op: isa.ADDI, Rd: isa.T1, Rs1: isa.T0, Val: noise + 1},
+		)
+	}
+	return recs
+}
+
 // TestTable32Example verifies the paper's pipeline walk-through: on a
 // 4-wide machine with a perfect value predictor, instructions 1-4 execute
 // in cycle 3 and instructions 5-8 in cycle 4.
@@ -80,14 +128,7 @@ func TestTable32WithoutVP(t *testing.T) {
 // is resolved by fetch delay, so a correct prediction must be counted
 // useless; with width 8 the same prediction becomes useful.
 func TestUselessPredictionAccounting(t *testing.T) {
-	// Producer at seq 0, consumer at seq 4 (DID 4); filler in between.
-	var recs []trace.Rec
-	recs = append(recs, trace.Rec{Seq: 0, PC: 0x1000, Op: isa.LI, Rd: isa.T0, Val: 7})
-	for i := 1; i <= 3; i++ {
-		recs = append(recs, trace.Rec{Seq: uint64(i), PC: isa.PCOf(i), Op: isa.LI, Rd: isa.T1, Val: 1})
-	}
-	recs = append(recs, trace.Rec{Seq: 4, PC: 0x2000, Op: isa.ADDI, Rd: isa.T2, Rs1: isa.T0, Val: 8})
-
+	recs := uselessTrace()
 	run := func(width int) Result {
 		cfg := DefaultConfig(width)
 		cfg.OracleVP = true
@@ -114,11 +155,7 @@ func TestWindowLimitsFetch(t *testing.T) {
 	// A long serial chain: with window W the machine can hold at most W
 	// unexecuted instructions, and the chain executes one per cycle, so
 	// IPC ~= 1 regardless of fetch width.
-	recs := make([]trace.Rec, 2000)
-	for i := range recs {
-		recs[i] = trace.Rec{Seq: uint64(i), PC: isa.PCOf(i % 8), Op: isa.ADDI,
-			Rd: isa.T0, Rs1: isa.T0, Val: uint64(i)}
-	}
+	recs := chainTrace(2000)
 	cfg := DefaultConfig(40)
 	res, err := Run(trace.NewSliceSource(recs), cfg)
 	if err != nil {
@@ -167,18 +204,7 @@ func TestSpeedupMonotoneInWidth(t *testing.T) {
 }
 
 func TestMemoryDependencyEnforced(t *testing.T) {
-	// store (value from a slow chain) -> load -> consumer; without VP the
-	// load waits for the store.
-	var recs []trace.Rec
-	// Build a 10-deep chain to delay the store value.
-	for i := 0; i < 10; i++ {
-		recs = append(recs, trace.Rec{Seq: uint64(i), PC: isa.PCOf(i), Op: isa.ADDI,
-			Rd: isa.T0, Rs1: isa.T0, Val: uint64(i)})
-	}
-	recs = append(recs,
-		trace.Rec{Seq: 10, PC: isa.PCOf(10), Op: isa.SD, Rs1: isa.SP, Rs2: isa.T0, Addr: 8, Val: 9},
-		trace.Rec{Seq: 11, PC: isa.PCOf(11), Op: isa.LD, Rd: isa.T1, Rs1: isa.SP, Addr: 8, Val: 9},
-	)
+	recs := memDepTrace()
 	cfg := DefaultConfig(40)
 	withMem, err := Run(trace.NewSliceSource(recs), cfg)
 	if err != nil {
@@ -199,15 +225,7 @@ func TestMispredictPenalty(t *testing.T) {
 	// A consumer of a hard-to-predict chain: penalties should increase
 	// cycles when the classifier consumes wrong values. Use a predictor
 	// without classification so mispredictions are consumed.
-	recs := make([]trace.Rec, 0, 400)
-	noise := uint64(12345)
-	for i := 0; i < 200; i++ {
-		noise = noise*6364136223846793005 + 1442695040888963407
-		recs = append(recs,
-			trace.Rec{Seq: uint64(2 * i), PC: 0x1000, Op: isa.XOR, Rd: isa.T0, Rs1: isa.T0, Val: noise},
-			trace.Rec{Seq: uint64(2*i + 1), PC: 0x1004, Op: isa.ADDI, Rd: isa.T1, Rs1: isa.T0, Val: noise + 1},
-		)
-	}
+	recs := noisyPairTrace(200)
 	run := func(penalty int) uint64 {
 		cfg := DefaultConfig(8)
 		cfg.Predictor = predictor.NewStride() // always confident, mostly wrong
@@ -224,11 +242,22 @@ func TestMispredictPenalty(t *testing.T) {
 }
 
 func TestInvalidConfig(t *testing.T) {
-	if _, err := Run(trace.NewSliceSource(nil), Config{}); err == nil {
-		t.Error("zero config accepted")
-	}
-	if _, err := Run(trace.NewSliceSource(nil), Config{FetchWidth: 4}); err == nil {
-		t.Error("zero window accepted")
+	negPenalty := DefaultConfig(16)
+	negPenalty.Predictor = predictor.NewStride()
+	negPenalty.MispredictPenalty = -1
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero config", Config{}},
+		{"zero window", Config{FetchWidth: 4}},
+		// A negative penalty used to wrap and make a consumed misprediction
+		// cost less than no penalty at all.
+		{"negative penalty", negPenalty},
+	} {
+		if _, err := Run(trace.NewSliceSource(workload.MustTrace("gcc", 1, 200)), c.cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

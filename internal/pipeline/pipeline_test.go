@@ -14,14 +14,28 @@ import (
 
 func TestInvalidConfigs(t *testing.T) {
 	recs := workload.MustTrace("compress95", 1, 1000)
-	if _, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), Config{}); err == nil {
-		t.Error("zero config accepted")
-	}
-	cfg := DefaultConfig()
-	cfg.Predictor = predictor.NewStride()
-	cfg.Network = core.MustNew(core.DefaultConfig())
-	if _, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg); err == nil {
-		t.Error("both Predictor and Network accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"zero config", func(cfg *Config) { *cfg = Config{} }},
+		{"both Predictor and Network", func(cfg *Config) {
+			cfg.Predictor = predictor.NewStride()
+			cfg.Network = core.MustNew(core.DefaultConfig())
+		}},
+		// A negative penalty used to wrap to a huge unsigned delay, or, added
+		// to a cycle, to a shortcut that made mispredictions cheaper than none.
+		{"negative ValuePenalty", func(cfg *Config) {
+			cfg.Predictor = predictor.NewStride()
+			cfg.ValuePenalty = -1
+		}},
+		{"negative BranchPenalty", func(cfg *Config) { cfg.BranchPenalty = -1 }},
+	} {
+		cfg := DefaultConfig()
+		c.edit(&cfg)
+		if _, err := Run(fetch.NewSequential(recs, btb.NewPerfect(), -1), cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 

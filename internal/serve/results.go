@@ -93,11 +93,12 @@ func (t *jobTable) lookup(id string) (*result, string, bool) {
 	return nil, "", false
 }
 
-// put stores a done job's result in memory and, for a table, on disk.
-// Disk write failures are counted, not fatal: the result is served from
-// memory either way.
+// put stores a done job's result on disk, for a table, and then in
+// memory, so a client that has seen the job done can find its result on
+// disk after a restart. Disk write failures are counted, not fatal: the
+// result is served from memory either way.
 func (t *jobTable) put(r *result) {
-	t.remember(r)
+	defer t.remember(r)
 	tab, ok := r.value.(*stats.Table)
 	if !ok || t.disk == nil {
 		return

@@ -5,13 +5,14 @@ import (
 	"testing"
 )
 
-// These tests guard the memory discipline of DESIGN.md §12: the simulation
-// engines draw all per-run state from pooled scratches, so two invariants
-// must hold. First, a dirty scratch must be indistinguishable from a fresh
-// one — no value computed by one cell may leak into the next. Second, the
-// per-cell hot path must stay allocation-free per instruction, because
-// per-instruction allocation is exactly what made the parallel engine
-// slower than serial (BENCH_pr5.json's 0.92× workers_speedup).
+// These tests guard the memory discipline of DESIGN.md §12: the pipeline
+// draws its per-run state from a pooled scratch, and the network reuses its
+// group buffers, so two invariants must hold. First, a dirty scratch must
+// be indistinguishable from a fresh one — no value computed by one cell may
+// leak into the next. Second, the per-cell hot path of every engine must
+// stay allocation-free per instruction, because per-instruction allocation
+// is exactly what made the parallel engine slower than serial
+// (BENCH_pr5.json's 0.92× workers_speedup).
 
 // TestPooledScratchReuseIsDeterministic is the dirty-pool hammer: it runs
 // the same experiment grids three times back-to-back on a wide pool and
@@ -20,8 +21,9 @@ import (
 // the pass before — recycled arenas, grown dependence lists, populated
 // free lists. Any stale scratch state leaking between cells shows up as a
 // diff; under `make race` the same hammer doubles as a data-race probe on
-// the pool itself. fig3.1 covers the ideal machine's scratch, fig5.3 the
-// pipeline scratch plus the network's reused group buffers.
+// the pool itself. fig5.3 covers the pipeline scratch plus the network's
+// reused group buffers; fig3.1 exercises no scratch (the closed-form ideal
+// machine keeps only per-run locals) and stays as a control.
 func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 	p := DefaultParams()
 	p.TraceLen = 4_000
@@ -61,11 +63,13 @@ func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 
 // TestAllocBudgetPerCell pins the per-cell allocation count with
 // testing.AllocsPerRun. The budgets are deliberately loose multiples of
-// the measured steady state (ideal ~23, network machine ~1100, sequential
-// machine ~1 for a 20k-instruction trace) but far below one allocation
-// per instruction — before the pooled scratches the same runs cost ~2.8
-// allocations per instruction (~56k per run at this trace length), so any
-// reintroduced per-instruction allocation fails immediately.
+// the measured steady state (ideal ~70, of which ~47 grow its per-run
+// last-store map and ~22 the predictor's tables; network machine ~1100;
+// sequential machine ~1 for a 20k-instruction trace) but far below one
+// allocation per instruction — before the pooled scratches the same runs
+// cost ~2.8 allocations per instruction (~56k per run at this trace
+// length), so any reintroduced per-instruction allocation fails
+// immediately.
 func TestAllocBudgetPerCell(t *testing.T) {
 	recs, err := Trace("compress95", 1, 20_000)
 	if err != nil {
